@@ -501,7 +501,9 @@ def bench_primitives(
 
     Each arm first fills the window untimed, then times ``n_appends``
     steady-state appends; best of ``repeats`` fresh runs is reported so a
-    scheduler hiccup in one round cannot masquerade as a regression.
+    scheduler hiccup in one round cannot masquerade as a regression.  The
+    two arms alternate within each repeat, so a swing in host speed hits
+    both sides of the ratio instead of one block of runs.
     """
     rng = np.random.default_rng(seed)
     total = window + n_appends
@@ -513,8 +515,12 @@ def bench_primitives(
     def us(elapsed: float) -> float:
         return 1e6 * elapsed / n_appends
 
-    def best(run) -> float:
-        return min(run() for _ in range(repeats))
+    def timed(incremental, batch) -> dict[str, float]:
+        inc_s = batch_s = float("inf")
+        for _ in range(repeats):
+            inc_s = min(inc_s, incremental())
+            batch_s = min(batch_s, batch())
+        return {"incremental_us": us(inc_s), "batch_us": us(batch_s)}
 
     def inc_median() -> float:
         sliding = SlidingMedian(window)
@@ -533,10 +539,7 @@ def bench_primitives(
             batch_median(ys[i + 1 - window : i + 1])
         return time.perf_counter() - start
 
-    out["median"] = {
-        "incremental_us": us(best(inc_median)),
-        "batch_us": us(best(batch_median_run)),
-    }
+    out["median"] = timed(inc_median, batch_median_run)
 
     def inc_trend() -> float:
         trend = IncrementalTheilSen(window)
@@ -555,10 +558,7 @@ def bench_primitives(
             detect_trend(xs[i + 1 - window : i + 1], ys[i + 1 - window : i + 1])
         return time.perf_counter() - start
 
-    out["theil_sen"] = {
-        "incremental_us": us(best(inc_trend)),
-        "batch_us": us(best(batch_trend)),
-    }
+    out["theil_sen"] = timed(inc_trend, batch_trend)
 
     def inc_corr() -> float:
         corr = IncrementalSpearman(window)
@@ -577,10 +577,7 @@ def bench_primitives(
             spearman(ys[i + 1 - window : i + 1], zs[i + 1 - window : i + 1])
         return time.perf_counter() - start
 
-    out["spearman"] = {
-        "incremental_us": us(best(inc_corr)),
-        "batch_us": us(best(batch_corr)),
-    }
+    out["spearman"] = timed(inc_corr, batch_corr)
 
     for entry in out.values():
         entry["speedup"] = entry["batch_us"] / entry["incremental_us"]

@@ -17,19 +17,27 @@ This module computes the same statistics for *all tenants at once*:
 * :func:`batched_tail_median` — NaN-dropping tail median with a default
   for all-NaN rows, the batched :class:`repro.stats.incremental.TailMedian`.
 
-Semantics contracts (held by ``tests/test_stats_batched.py``):
+Semantics contracts (held by ``tests/test_stats_batched.py`` and, bit for
+bit, by ``tests/test_stats_batched_exact.py``): NaN/inf handling,
+minimum-point rules, tie averaging and agreement thresholds match the
+scalar references row-for-row, and every output is bit-identical to its
+per-row reference — trend slopes and tail medians to ``np.median`` of the
+row's valid slopes or values, Spearman to the incremental path through
+exact integer rank moments.
 
-* NaN/inf handling, minimum-point rules, tie averaging and agreement
-  thresholds match the scalar batch references row-for-row.
-* ``significant``/``n_points`` are exact; floats match the scalar batch
-  reference to 1e-9 (they are bit-identical in almost every case — the
-  only divergence is summation order inside Spearman's dot products,
-  and :func:`batched_spearman` avoids even that by using exact integer
-  arithmetic, making it bit-identical to the *incremental* vector path).
+The kernels avoid numpy's slow paths.  Pairwise slopes are built per lag
+(``y[d:] - y[:-d]`` fills every pair ``(i, i + d)``) in a transposed
+``(pairs, tenants)`` matrix, with excluded samples set to NaN so invalid
+pairs come out NaN without a mask.  Every median sorts rows NaN-last and
+gathers the middle values at each row's valid count, instead of numpy's
+NaN-aware median, which routes small rows through ``numpy.ma``.
+Spearman ranks for windows up to 16 come from one ``int8`` comparison
+pass per column instead of an argsort.
 
-Memory: the pairwise-slope stage materialises ``(chunk, W(W-1)/2)``
-scratch, so tenants are processed in chunks bounded by
-:data:`SLOPE_CHUNK_ELEMENTS` elements rather than all at once.
+Memory: both pairwise kernels walk tenants in tiles of
+``SLOPE_CHUNK_ELEMENTS // (W(W-1)/2)`` columns, so a tile's scratch (one
+``(pairs, tile)`` float64 slope matrix, or a few ``(W, tile)`` rank
+matrices) stays in cache across the per-lag and per-column passes.
 """
 
 from __future__ import annotations
@@ -48,10 +56,16 @@ __all__ = [
     "fractional_ranks",
 ]
 
-#: Upper bound on elements in one pairwise-slope scratch matrix.  At
-#: window 64 (2016 pairs) this processes ~2000 tenants per chunk — about
-#: 64 MB of transient float64 scratch across the four pairwise arrays.
-SLOPE_CHUNK_ELEMENTS = 4_000_000
+#: Upper bound on elements in one pairwise scratch matrix (2 MB of
+#: float64).  At window 8 (28 pairs) a tile is ~8900 tenants, at window 64
+#: (2016 pairs) ~120.  Much larger tiles spill out of cache between the
+#: per-lag passes and run slower.
+SLOPE_CHUNK_ELEMENTS = 250_000
+
+#: Widest window whose Spearman ranks are built by pairwise comparison
+#: (``W`` passes of ``W x tile`` each, so it loses to a sort for wide
+#: windows; ``int16`` moments stay exact up to ``W = 29``).
+_PAIRWISE_RANK_MAX_WINDOW = 16
 
 
 class BatchedTrend(NamedTuple):
@@ -82,6 +96,62 @@ def _as_matrix_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, y
 
 
+def _count_true(mask: np.ndarray) -> np.ndarray:
+    """Per-column count of a ``(rows, C)`` bool matrix.
+
+    Sums the bytes in the narrowest accumulator that cannot overflow;
+    ``np.count_nonzero(axis=0)`` casts every element to ``intp`` first,
+    which is an order of magnitude slower here.
+    """
+    dtype = np.uint8 if mask.shape[0] < 256 else np.int64
+    return np.add.reduce(mask.view(np.uint8), axis=0, dtype=dtype)
+
+
+def _lag_differences(values: np.ndarray) -> np.ndarray:
+    """``values[j] - values[i]`` for every pair ``i < j`` of a ``(W, C)`` matrix.
+
+    Returns ``(W(W-1)/2, C)``, the pairs grouped by lag ``d = j - i``:
+    each lag is one contiguous slice subtraction, not two fancy-index
+    gathers.
+    """
+    window = values.shape[0]
+    out = np.empty((window * (window - 1) // 2,) + values.shape[1:])
+    row = 0
+    for lag in range(1, window):
+        np.subtract(values[lag:], values[:-lag], out=out[row : row + window - lag])
+        row += window - lag
+    return out
+
+
+def _nan_last_median(values: np.ndarray, n: np.ndarray, default: float) -> np.ndarray:
+    """``np.median`` of each row's ``n`` smallest entries; ``default`` if ``n == 0``.
+
+    Excluded entries must be NaN, so a row sort puts them last and the
+    counted entries first.  The middle one or two are gathered by each
+    row's count and combined with ``np.median``'s own arithmetic: its mean
+    sums from ``+0.0``, so an odd count yields ``mid + 0.0`` and an even
+    one ``(0.0 + lo + hi) / 2`` (which is why a lone ``-0.0`` reports
+    ``0.0``).  A NaN among the counted entries makes the row NaN, as it
+    does in ``np.median``.
+    """
+    rows, width = values.shape
+    if width == 1:
+        # A one-wide row is its own median.
+        out = values[:, 0] + 0.0
+        out[n == 0] = default
+        return out
+    ordered = np.sort(values, axis=1)
+    idx = np.arange(rows)
+    counted = np.maximum(n, 1)
+    lo = ordered[idx, (counted - 1) // 2] + 0.0
+    hi = ordered[idx, counted // 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(counted % 2 == 1, lo, (lo + hi) / 2)
+    out[np.isnan(ordered[idx, counted - 1])] = np.nan
+    out[n == 0] = default
+    return out
+
+
 def batched_detect_trend(
     x: np.ndarray,
     y: np.ndarray,
@@ -98,69 +168,75 @@ def batched_detect_trend(
     """
     if not 0.5 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0.5, 1.0], got {alpha}")
-    shared_x = np.asarray(x, dtype=float).ndim == 1
-    x, y = _as_matrix_pair(x, y)
+    x_axis = np.asarray(x, dtype=float)
+    shared_x = x_axis.ndim == 1
+    x, y = _as_matrix_pair(x_axis, y)
     n_tenants, window = y.shape
-    finite = np.isfinite(x) & np.isfinite(y)
-    n_points = np.count_nonzero(finite, axis=1)
-
+    n_points = np.zeros(n_tenants, dtype=np.int64)
     slope = np.zeros(n_tenants)
     agreement = np.zeros(n_tenants)
     significant = np.zeros(n_tenants, dtype=bool)
     if window < 2:
+        n_points[:] = np.count_nonzero(np.isfinite(x) & np.isfinite(y), axis=1)
         return BatchedTrend(slope, significant, agreement, n_points)
 
-    ii, jj = np.triu_indices(window, k=1)
-    n_pairs = ii.size
-    # Work transposed: pair selection on axis 0 of a (W, T) matrix is a
-    # contiguous row gather (one memcpy per pair) instead of a strided
-    # (T, P) element gather, which measures ~7x faster at fleet scale.
-    y_t = np.ascontiguousarray(y.T)
-    finite_t = np.ascontiguousarray(finite.T)
+    chunk = max(1, SLOPE_CHUNK_ELEMENTS // (window * (window - 1) // 2))
     if shared_x:
-        x_row = x[0]
-        dx_shared = (x_row[jj] - x_row[ii])[:, None]
-    else:
-        x_t = np.ascontiguousarray(x.T)
-
-    chunk = max(1, SLOPE_CHUNK_ELEMENTS // max(1, n_pairs))
+        x_finite = np.isfinite(x_axis)[:, None]
+        with np.errstate(all="ignore"):
+            dx = _lag_differences(x_axis[:, None])
+        vertical = dx[:, 0] == 0.0
+        dx[vertical] = np.nan
     for start in range(0, n_tenants, chunk):
         stop = min(start + chunk, n_tenants)
-        yc = y_t[:, start:stop]
-        fc = finite_t[:, start:stop]
-        dx = dx_shared if shared_x else x_t[jj, start:stop] - x_t[ii, start:stop]
-        with np.errstate(invalid="ignore"):
-            # inf - inf lanes produce NaN here; they are masked below.
-            dy = yc[jj] - yc[ii]
-        valid = fc[ii] & fc[jj] & (dx != 0.0)
-        slopes = np.divide(dy, dx, out=np.full_like(dy, np.nan), where=valid)
-        n_valid = np.count_nonzero(valid, axis=0)
-        pos = np.count_nonzero(slopes > 0.0, axis=0)
-        neg = np.count_nonzero(slopes < 0.0, axis=0)
+        # Transposed (W, chunk) samples: every lag is a contiguous slice
+        # and every per-tenant count a reduction over the short axis.
+        ys = np.ascontiguousarray(y[start:stop].T)
+        finite = np.isfinite(ys)
+        if shared_x:
+            finite &= x_finite
+        else:
+            xs = np.ascontiguousarray(x[start:stop].T)
+            finite &= np.isfinite(xs)
+        points = _count_true(finite).astype(np.int64)
+        n_points[start:stop] = points
+        # Excluded samples become NaN, so every pair touching one gets a
+        # NaN slope.  The valid pairs are those between finite samples,
+        # less the vertical ones; finite samples can still overflow to an
+        # inf difference or a NaN quotient, and those pairs stay valid, as
+        # in the scalar reference.
+        excluded = ~finite
+        np.copyto(ys, np.nan, where=excluded)
+        n_valid = points * (points - 1) // 2
+        with np.errstate(all="ignore"):
+            slopes = _lag_differences(ys)
+            if shared_x:
+                if vertical.any():
+                    # dy is NaN exactly where a sample is excluded.
+                    n_valid -= _count_true(~np.isnan(slopes[vertical]))
+            else:
+                np.copyto(xs, np.nan, where=excluded)
+                dx = _lag_differences(xs)
+                vertical_c = dx == 0.0
+                n_valid -= _count_true(vertical_c)
+                dx[vertical_c] = np.nan
+            slopes /= dx
+        pos = _count_true(slopes > 0.0)
+        neg = _count_true(slopes < 0.0)
         # Columns with too few finite samples (or no valid pairs) report
         # the scalar early-return shape: slope 0, agreement 0, and never
         # significant.
-        usable = (n_points[start:stop] >= min_points) & (n_valid > 0)
+        usable = (points >= min_points) & (n_valid > 0)
         agree = np.where(usable, np.maximum(pos, neg) / np.maximum(n_valid, 1), 0.0)
         sig = usable & (agree >= alpha)
         agreement[start:stop] = agree
         significant[start:stop] = sig
-        # Medians only where a trend was accepted.  Columns whose every
-        # pair is valid take the fast np.median path; columns with NaN
-        # placeholders (vertical or non-finite pairs) go through
-        # nanmedian, which matches np.median of the compacted valid
-        # slopes bit-for-bit.
-        clean = np.flatnonzero(sig & (n_valid == n_pairs))
-        if clean.size * 2 > stop - start:
-            # Majority of columns need a median: one full-matrix median
-            # beats the strided column gather (NaN-contaminated columns
-            # yield NaN here, but only clean columns are read back).
-            slope[start + clean] = np.median(slopes, axis=0)[clean]
-        elif clean.size:
-            slope[start + clean] = np.median(slopes[:, clean], axis=0)
-        dirty = np.flatnonzero(sig & (n_valid != n_pairs))
-        if dirty.size:
-            slope[start + dirty] = np.nanmedian(slopes[:, dirty], axis=0)
+        # Medians only where a trend was accepted.
+        accepted = np.flatnonzero(sig)
+        if accepted.size:
+            slope[start + accepted] = _nan_last_median(
+                slopes[:, accepted].T, n_valid[accepted], 0.0
+            )
     return BatchedTrend(slope, significant, agreement, n_points)
 
 
@@ -200,6 +276,72 @@ def fractional_ranks(values: np.ndarray) -> np.ndarray:
     return u
 
 
+def _pairwise_ranks(values: np.ndarray) -> np.ndarray:
+    """Doubled tie-averaged ranks down each column of a ``(W, C)`` matrix.
+
+    ``u[i, t] = #(v[j, t] < v[i, t]) + #(v[j, t] <= v[i, t])`` over ``j``,
+    the same exact integers :func:`fractional_ranks` returns, without a
+    sort.  One comparison per ``j`` serves both counts: ``v[j] < v[i]``
+    summed over ``j`` counts the entries below each ``i``, and summed over
+    ``i`` counts the entries above ``j``, so ``#(<=) = W - #(>)``.  That
+    is still ``W`` whole-matrix passes, so it only wins for short windows.
+    Ranks are ``int8``: at most ``2W - 1``.
+    """
+    window = values.shape[0]
+    below = np.zeros(values.shape, dtype=np.int8)
+    above = np.empty(values.shape, dtype=np.int8)
+    hits = np.empty(values.shape, dtype=np.int8)
+    for j, row in enumerate(values):
+        np.less(row, values, out=hits.view(bool))
+        below += hits
+        np.add.reduce(hits, axis=0, out=above[j])
+    return below + (window - above)
+
+
+def _rank_moments(x: np.ndarray, y: np.ndarray):
+    """Valid-pair counts and ``(Σu², Σv², Σuv)`` per row, as exact integers.
+
+    ``u``/``v`` are the doubled ranks of ``x``/``y`` among each row's
+    pairs with both values finite.  Excluded entries become ``+inf``
+    sentinels: they sort after every finite value, so the valid entries'
+    ranks are exactly the ranks they would get in the compacted row; their
+    own ranks are zeroed.
+    """
+    n_tenants, window = x.shape
+    if window > _PAIRWISE_RANK_MAX_WINDOW:
+        valid = np.isfinite(x) & np.isfinite(y)
+        ux = np.where(valid, fractional_ranks(np.where(valid, x, np.inf)), 0)
+        uy = np.where(valid, fractional_ranks(np.where(valid, y, np.inf)), 0)
+        return (
+            np.count_nonzero(valid, axis=1),
+            np.einsum("tw,tw->t", ux, ux),
+            np.einsum("tw,tw->t", uy, uy),
+            np.einsum("tw,tw->t", ux, uy),
+        )
+    # Tiles of (W, chunk), transposed so each comparison row is contiguous
+    # and a tile stays cache-resident.  For W <= 16 a doubled rank is at
+    # most 31 and every moment at most 5456, so int16 products and sums
+    # are exact.
+    chunk = max(1, SLOPE_CHUNK_ELEMENTS // max(1, window * (window - 1) // 2))
+    out = np.empty((4, n_tenants), dtype=np.int64)
+    for start in range(0, n_tenants, chunk):
+        stop = min(start + chunk, n_tenants)
+        xs = np.ascontiguousarray(x[start:stop].T)
+        ys = np.ascontiguousarray(y[start:stop].T)
+        excluded = ~(np.isfinite(xs) & np.isfinite(ys))
+        out[0, start:stop] = window - _count_true(excluded)
+        ranks = []
+        for values in (xs, ys):
+            np.copyto(values, np.inf, where=excluded)
+            u = _pairwise_ranks(values).astype(np.int16)
+            np.copyto(u, 0, where=excluded)
+            ranks.append(u)
+        ux, uy = ranks
+        for row, product in enumerate((ux * ux, uy * uy, ux * uy), 1):
+            out[row, start:stop] = np.add.reduce(product, axis=0)
+    return tuple(out)
+
+
 def batched_spearman(
     x: np.ndarray,
     y: np.ndarray,
@@ -219,29 +361,14 @@ def batched_spearman(
         rho = (Σuv − n³) / sqrt((Σu² − n³)(Σv² − n³))
 
     in *exact integer arithmetic* — bit-identical to the incremental
-    vector path and within 1e-9 of the float batch reference.
+    vector path and within 1e-9 of the float batch reference.  Windows up
+    to 16 rank by pairwise comparison, wider ones by
+    :func:`fractional_ranks`.
     """
     x, y = _as_matrix_pair(x, y)
-    n_tenants, window = y.shape
-    valid = np.isfinite(x) & np.isfinite(y)
-    n_points = np.count_nonzero(valid, axis=1)
-    rho = np.zeros(n_tenants)
-    if window == 0:
-        return BatchedCorrelation(rho, n_points)
-
-    # Excluded entries become +inf sentinels: they sort after every finite
-    # value, so the valid entries' fractional ranks are exactly the ranks
-    # they would get in the compacted row.
-    xs = np.where(valid, x, np.inf)
-    ys = np.where(valid, y, np.inf)
-    ux = fractional_ranks(xs)
-    uy = fractional_ranks(ys)
-    ux = np.where(valid, ux, 0)
-    uy = np.where(valid, uy, 0)
-    n3 = n_points.astype(np.int64) ** 3
-    a = np.einsum("tw,tw->t", ux, ux) - n3
-    b = np.einsum("tw,tw->t", uy, uy) - n3
-    c = np.einsum("tw,tw->t", ux, uy) - n3
+    n_points, *moments = _rank_moments(x, y)
+    n3 = n_points ** 3
+    a, b, c = (m - n3 for m in moments)
     ab = a * b
     compute = (n_points >= min_points) & (ab > 0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -266,10 +393,5 @@ def batched_tail_median(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     tail = values[:, -k:]
-    all_nan = np.all(np.isnan(tail), axis=1)
-    out = np.full(values.shape[0], default, dtype=float)
-    rows = np.flatnonzero(~all_nan)
-    if rows.size:
-        with np.errstate(invalid="ignore"):
-            out[rows] = np.nanmedian(tail[rows], axis=1)
-    return out
+    counted = tail.shape[1] - np.count_nonzero(np.isnan(tail), axis=1)
+    return _nan_last_median(tail, counted, default)
