@@ -28,13 +28,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.engine.bufferpool import BufferPool, DatasetSpec, PAGE_KB
 from repro.engine.containers import ContainerSpec
 from repro.engine.locks import HotLockManager
-from repro.engine.requests import LOCK_HELD, RequestTable, TransactionSpec
+from repro.engine.requests import (
+    ARRIVAL_ROW,
+    LOCK_HELD,
+    WORK_ROWS,
+    RequestTable,
+    TransactionSpec,
+    spec_values,
+)
 from repro.engine.resources import ResourceKind
 from repro.engine.telemetry import CounterAccumulator, IntervalCounters
 from repro.engine.waits import WaitClass
@@ -45,20 +53,23 @@ __all__ = ["EngineConfig", "DatabaseServer"]
 _EPS = 1e-9
 
 
-def _fair_share_allocate(want: np.ndarray, capacity: float) -> np.ndarray:
+def _fair_share_allocate(
+    want: np.ndarray, demand: float, capacity: float
+) -> np.ndarray:
     """Processor-sharing allocation of ``capacity`` across per-request demand.
 
-    Each request first receives up to an equal share of the capacity; the
-    slack left by requests that needed less than their share is then
-    redistributed proportionally to the unmet remainder.  Unlike a
+    ``demand`` is ``want.sum()``.  When it fits, every request gets what
+    it wants (``want`` itself is returned).  Otherwise each request first
+    receives up to an equal share of the capacity; the slack left by
+    requests that needed less than their share is then redistributed
+    proportionally to the unmet remainder.  Unlike a
     proportional-to-demand grant, this lets nearly-finished requests
     complete under saturation (their tiny remainder fits inside the fair
     share), which is how real processor sharing behaves.
     """
-    total = float(want.sum())
-    if total <= capacity or want.size == 0:
-        return want.copy()
-    active = int((want > _EPS).sum())
+    if demand <= capacity or want.size == 0:
+        return want
+    active = int(np.count_nonzero(want > _EPS))
     fair = capacity / max(active, 1)
     first = np.minimum(want, fair)
     leftover = capacity - float(first.sum())
@@ -69,6 +80,23 @@ def _fair_share_allocate(want: np.ndarray, capacity: float) -> np.ndarray:
     else:
         second = 0.0
     return first + second
+
+
+class _TickWork(NamedTuple):
+    """One tick's progress over the runnable rows, for completion.
+
+    ``start`` and ``potential`` hold, per work component (CPU ms, logical
+    reads, log KB), the work remaining at tick start and the progress
+    each request could have made this tick; completions are placed at
+    fractional positions inside the tick from them, so latencies are not
+    quantized to whole ticks.
+    """
+
+    rows: np.ndarray
+    start: np.ndarray  # (3, rows): work left at tick start
+    potential: tuple[np.ndarray | float, ...]  # per component; a float for all
+    hold0: np.ndarray  # critical-section time left at tick start
+    done: np.ndarray  # finished this tick
 
 
 @dataclass(frozen=True)
@@ -148,10 +176,17 @@ class DatabaseServer:
         self.dataset = dataset
         self._rng = np.random.default_rng(self.config.seed)
 
+        # The mix CDF is exactly the one ``Generator.choice(p=...)``
+        # builds, so drawing types through it consumes the same single
+        # ``random(n)`` and picks the same types.
         weights = np.asarray([s.weight for s in specs], dtype=float)
-        self._mix_p = weights / weights.sum()
+        self._mix_cdf = (weights / weights.sum()).cumsum()
+        self._mix_cdf /= self._mix_cdf[-1]
+        # Per-type spec columns, gathered by type for each admitted batch.
         self._spec_lock_p = np.asarray([s.lock_probability for s in specs])
         self._spec_hold_ms = np.asarray([s.lock_hold_ms for s in specs])
+        self._spec_sigma = np.asarray([s.work_sigma for s in specs])
+        self._spec_values = spec_values(specs)
 
         self.table = RequestTable()
         self.locks = HotLockManager(n_hot_locks)
@@ -165,17 +200,6 @@ class DatabaseServer:
         self._interval_index = 0
         self._interval_start_s = 0.0
         self._acc = CounterAccumulator()
-
-        # Sub-tick interpolation state, refreshed by _progress_work each
-        # tick: the runnable rows and, aligned with them, the work
-        # remaining at tick start and the potential progress each request
-        # could have made this tick.  _complete_requests uses these to
-        # place completions at fractional positions inside the tick, so
-        # latencies are not quantized to whole ticks.
-        self._tick_rows = np.empty(0, dtype=np.int64)
-        self._tick_rem0 = np.empty((0, 3), dtype=float)
-        self._tick_potential = np.empty((0, 3), dtype=float)
-        self._tick_hold0 = np.empty(0, dtype=float)
 
     # -- control surface ----------------------------------------------------
 
@@ -255,8 +279,7 @@ class DatabaseServer:
 
         self._admit_arrivals(rate_per_s)
         self._service_locks(tick_ms)
-        self._progress_work(tick_ms)
-        self._complete_requests(tick_ms)
+        self._complete_requests(tick_ms, self._progress_work(tick_ms))
         self._inject_noise(tick_ms)
 
         self._now_s += cfg.tick_s
@@ -264,7 +287,8 @@ class DatabaseServer:
 
     def _admit_arrivals(self, rate_per_s: float) -> None:
         cfg = self.config
-        n = int(self._rng.poisson(max(rate_per_s, 0.0) * cfg.tick_s))
+        rng = self._rng
+        n = int(rng.poisson(max(rate_per_s, 0.0) * cfg.tick_s))
         if n == 0:
             return
         room = cfg.max_concurrency - len(self.table)
@@ -273,87 +297,85 @@ class DatabaseServer:
         self._acc.rejected += n - admitted
         if admitted == 0:
             return
-        types = self._rng.choice(len(self.specs), size=admitted, p=self._mix_p)
-        needs_lock = self._rng.random(admitted) < self._spec_lock_p[types]
-        lock_ids = np.where(
-            needs_lock & (self.locks.n_locks > 0),
-            self._rng.integers(0, max(self.locks.n_locks, 1), size=admitted),
-            -1,
-        )
+        types = self._mix_cdf.searchsorted(rng.random(admitted), side="right")
+        needs_lock = rng.random(admitted) < self._spec_lock_p[types]
+        n_locks = self.locks.n_locks
+        # With at most one lock the choice range is a single value, and
+        # drawing from it consumes nothing from the generator.
+        lock_choice = rng.integers(0, n_locks, size=admitted) if n_locks > 1 else 0
+        lock_ids = np.where(needs_lock & (n_locks > 0), lock_choice, -1)
         # Arrivals are spread uniformly inside the tick so sub-tick latency
         # interpolation has honest start times.
-        offsets_ms = self._rng.random(admitted) * cfg.tick_s * 1000.0
-        base_ms = self._now_s * 1000.0
-        jitter = self._rng.standard_normal(admitted)
-        for txn_type, lock_id, offset, z in zip(types, lock_ids, offsets_ms, jitter):
-            spec = self.specs[int(txn_type)]
-            sigma = spec.work_sigma
-            # Lognormal with unit mean, so jitter never changes average load.
-            multiplier = float(np.exp(sigma * z - 0.5 * sigma * sigma))
-            row = self.table.add(
-                int(txn_type),
-                base_ms + float(offset),
-                spec,
-                int(lock_id),
-                work_multiplier=multiplier,
-            )
-            if lock_id >= 0:
-                self.locks.enqueue(int(lock_id), row)
+        offsets_ms = rng.random(admitted) * cfg.tick_s * 1000.0
+        jitter = rng.standard_normal(admitted)
+        sigma = self._spec_sigma[types]
+        # Lognormal with unit mean, so jitter never changes average load.
+        multiplier = np.exp(sigma * jitter - 0.5 * sigma * sigma)
+        values = self._spec_values[:, types]
+        values[WORK_ROWS] *= multiplier
+        values[ARRIVAL_ROW] = self._now_s * 1000.0 + offsets_ms
+        rows = self.table.add_many(types, lock_ids, values)
+        queued = lock_ids >= 0
+        if np.count_nonzero(queued):
+            self.locks.enqueue_many(lock_ids[queued], rows[queued])
+
+    def _hold_ms(self, rows: np.ndarray) -> np.ndarray:
+        """Critical-section length of each of ``rows``' transaction type."""
+        return self._spec_hold_ms[self.table.txn_type[rows]]
 
     def _service_locks(self, tick_ms: float) -> None:
-        granted = self.locks.serve_tick(
-            tick_ms, lambda row: float(self._spec_hold_ms[self.table.txn_type[row]])
-        )
+        granted = self.locks.serve_tick(tick_ms, self._hold_ms)
         lock_wait_ms = 0.0
-        for row, queue_delay_ms in granted:
-            self.table.lock_state[row] = LOCK_HELD
+        if len(granted):
+            rows = granted.rows
+            self.table.lock_state[rows] = LOCK_HELD
             # The request's critical section completes after its queue
             # delay plus its own hold time; both are wall-clock floors.
-            self.table.hold_rem_ms[row] = (
-                queue_delay_ms + self._spec_hold_ms[self.table.txn_type[row]]
-            )
-            lock_wait_ms += queue_delay_ms
+            self.table.hold_rem_ms[rows] = granted.delays_ms + self._hold_ms(rows)
+            # Summed in grant order, one addition at a time.
+            lock_wait_ms = float(np.cumsum(granted.delays_ms)[-1])
         blocked = self.locks.total_waiting()
         if blocked:
             lock_wait_ms += blocked * tick_ms
         if lock_wait_ms > 0:
             self._acc.waits.add(WaitClass.LOCK, lock_wait_ms)
 
-    def _progress_work(self, tick_ms: float) -> None:
+    def _progress_work(self, tick_ms: float) -> _TickWork:
+        """Advance every runnable request by one tick of resource service.
+
+        Each work column is gathered once, progressed locally and
+        scattered back once; the returned :class:`_TickWork` carries the
+        tick-start and tick-end values to :meth:`_complete_requests`.
+        """
         cfg = self.config
         table = self.table
         rows = table.runnable_rows()
         container = self._container
-
-        # Snapshot remaining work for sub-tick completion interpolation.
-        self._tick_rows = rows
-        self._tick_rem0 = np.column_stack(
-            [table.cpu_rem_ms[rows], table.reads_rem[rows], table.log_rem_kb[rows]]
-        )
-        self._tick_hold0 = table.hold_rem_ms[rows].copy()
-        potential = np.zeros((rows.size, 3), dtype=float)
+        values = table.values[:, rows]
+        start = values[WORK_ROWS]
+        cpu0, reads0, log0, hold0, read_iops, log_mb_s, _ = values
 
         # Critical-section countdown runs in wall time, container-independent.
-        held = rows[table.lock_state[rows] == LOCK_HELD]
-        if held.size:
-            table.hold_rem_ms[held] -= tick_ms
+        # Only a granted request has a critical section left to run.
+        hold = None
+        if self.locks.n_locks:
+            held = table.lock_state[rows] == LOCK_HELD
+            if np.count_nonzero(held):
+                hold = np.where(held, hold0 - tick_ms, hold0)
+                table.hold_rem_ms[rows] = hold
 
         # --- CPU: processor sharing across runnable requests. ---------------
         cpu_capacity_ms = container.cpu_cores * tick_ms
-        cpu_want = np.minimum(tick_ms, np.maximum(table.cpu_rem_ms[rows], 0.0))
+        cpu_want = np.minimum(tick_ms, np.maximum(cpu0, 0.0))
         cpu_demand = float(cpu_want.sum())
         cpu_saturated = cpu_demand > cpu_capacity_ms
-        cpu_progress = _fair_share_allocate(cpu_want, cpu_capacity_ms)
-        if rows.size:
-            table.cpu_rem_ms[rows] = table.cpu_rem_ms[rows] - cpu_progress
-        if cpu_saturated:
-            # Under saturation a finished request's effective rate was its
-            # fair-share progress; the interpolated completion lands at the
-            # tick end, which is where it actually finished.
-            potential[:, 0] = np.maximum(cpu_progress, _EPS)
-        else:
-            potential[:, 0] = tick_ms
-        cpu_used_ms = float(cpu_progress.sum())
+        cpu_progress = _fair_share_allocate(cpu_want, cpu_demand, cpu_capacity_ms)
+        cpu = cpu0 - cpu_progress
+        # Under saturation a finished request's effective rate was its
+        # fair-share progress; the interpolated completion lands at the
+        # tick end, which is where it actually finished.
+        cpu_potential = cpu_progress if cpu_saturated else tick_ms
+        cpu_used_ms = float(cpu_progress.sum()) if cpu_saturated else cpu_demand
         cpu_wait_ms = cpu_used_ms * cfg.base_cpu_wait_share
         if cpu_saturated:
             cpu_wait_ms += cpu_demand - cpu_used_ms
@@ -375,28 +397,24 @@ class DatabaseServer:
         # A request's read stream progresses at memory speed for cache
         # hits and at its physical-read rate for misses: with miss rate m
         # the sustainable logical rate is min(hit_speed, phys_speed / m).
-        logical_rate = np.full(rows.size, cfg.cached_read_rate)
+        logical_rate = cfg.cached_read_rate
         if miss_rate > _EPS:
-            logical_rate = np.minimum(
-                logical_rate, table.max_read_iops[rows] / miss_rate
-            )
-        read_want = np.minimum(
-            logical_rate * cfg.tick_s,
-            np.maximum(table.reads_rem[rows], 0.0),
-        )
+            logical_rate = np.minimum(logical_rate, read_iops / miss_rate)
+        read_cap = logical_rate * cfg.tick_s
+        read_want = np.minimum(read_cap, np.maximum(reads0, 0.0))
         physical = read_want * miss_rate
         physical_demand = float(physical.sum())
         disk_saturated = physical_demand > workload_disk_capacity
-        served_physical = _fair_share_allocate(physical, workload_disk_capacity)
+        served_physical = _fair_share_allocate(
+            physical, physical_demand, workload_disk_capacity
+        )
         # logical progress = hits (always served) + physical reads served.
         logical_progress = read_want * hit_rate + served_physical
-        if rows.size:
-            table.reads_rem[rows] = table.reads_rem[rows] - logical_progress
-        if disk_saturated:
-            potential[:, 1] = np.maximum(logical_progress, _EPS)
-        else:
-            potential[:, 1] = logical_rate * cfg.tick_s
-        served_total = float(served_physical.sum())
+        reads = reads0 - logical_progress
+        reads_potential = logical_progress if disk_saturated else read_cap
+        served_total = (
+            float(served_physical.sum()) if disk_saturated else physical_demand
+        )
         self._acc.disk_physical_reads += served_total
 
         disk_wait_ms = served_total * cfg.base_io_wait_ms
@@ -447,31 +465,28 @@ class DatabaseServer:
         )
 
         # --- Log writes at commit (after CPU and reads finish). ---------------
-        ready_mask = (
-            (table.cpu_rem_ms[rows] <= _EPS)
-            & (table.reads_rem[rows] <= _EPS)
-            & (table.log_rem_kb[rows] > _EPS)
-        )
-        ready = rows[ready_mask]
+        computed = (cpu <= _EPS) & (reads <= _EPS)
+        (ready,) = (computed & (log0 > _EPS)).nonzero()
+        log = log0
+        # A request with no log left at tick start never reads its
+        # log potential back.
+        log_potential = 0.0
         log_capacity_kb = container.log_mb_s * 1024.0 * cfg.tick_s
         log_served_kb = 0.0
         if ready.size:
-            log_want = np.minimum(
-                table.max_log_mb_s[ready] * 1024.0 * cfg.tick_s,
-                table.log_rem_kb[ready],
-            )
+            stream_kb = log_mb_s[ready] * 1024.0 * cfg.tick_s
+            log_want = np.minimum(stream_kb, log0[ready])
             log_demand = float(log_want.sum())
             log_saturated = log_demand > log_capacity_kb
-            log_progress = _fair_share_allocate(log_want, log_capacity_kb)
-            table.log_rem_kb[ready] = table.log_rem_kb[ready] - log_progress
-            ready_positions = np.flatnonzero(ready_mask)
-            if log_saturated:
-                potential[ready_positions, 2] = np.maximum(log_progress, _EPS)
-            else:
-                potential[ready_positions, 2] = (
-                    table.max_log_mb_s[ready] * 1024.0 * cfg.tick_s
-                )
-            log_served_kb = float(log_progress.sum())
+            log_progress = _fair_share_allocate(log_want, log_demand, log_capacity_kb)
+            log = log0.copy()
+            log[ready] = log0[ready] - log_progress
+            log_potential = np.zeros(rows.size)
+            log_potential[ready] = log_progress if log_saturated else stream_kb
+            table.log_rem_kb[rows] = log
+            log_served_kb = (
+                float(log_progress.sum()) if log_saturated else log_demand
+            )
             log_wait_ms = log_served_kb * cfg.base_log_wait_ms_per_kb
             if log_saturated:
                 log_wait_ms += (
@@ -485,38 +500,50 @@ class DatabaseServer:
         self._acc.sample_utilization(
             ResourceKind.LOG_IO, log_served_kb / max(log_capacity_kb, _EPS)
         )
-        self._tick_potential = potential
 
-    def _complete_requests(self, tick_ms: float) -> None:
-        table = self.table
-        rows = self._tick_rows
-        if rows.size == 0:
-            return
-        done = table.work_done(rows) & (table.hold_rem_ms[rows] <= _EPS)
-        positions = np.flatnonzero(done)
+        table.cpu_rem_ms[rows] = cpu
+        table.reads_rem[rows] = reads
+        done = computed & (log <= _EPS)
+        if hold is not None:
+            done &= hold <= _EPS
+        return _TickWork(
+            rows=rows,
+            start=start,
+            potential=(cpu_potential, reads_potential, log_potential),
+            hold0=hold0,
+            done=done,
+        )
+
+    def _complete_requests(self, tick_ms: float, work: _TickWork) -> None:
+        (positions,) = work.done.nonzero()
         if positions.size == 0:
             return
-        finished = rows[positions]
+        table = self.table
+        finished = work.rows[positions]
 
         # Each finished component c needed rem0_c out of potential_c of
         # progress, i.e. it completed at fraction rem0_c / potential_c of
         # the tick; the request completes when its *last* component does.
-        rem0 = self._tick_rem0[positions]
-        potential = np.maximum(self._tick_potential[positions], _EPS)
-        fractions = np.where(rem0 > _EPS, rem0 / potential, 0.0)
-        hold_fraction = np.maximum(self._tick_hold0[positions], 0.0) / tick_ms
-        work_fraction = np.maximum(fractions.max(axis=1), hold_fraction)
+        rem0 = work.start[:, positions]
+        potential = np.empty_like(rem0)
+        for component, column in zip(potential, work.potential):
+            component[:] = (
+                column[positions] if isinstance(column, np.ndarray) else column
+            )
+        fractions = np.where(rem0 > _EPS, rem0 / np.maximum(potential, _EPS), 0.0)
+        hold_fraction = np.maximum(work.hold0[positions], 0.0) / tick_ms
+        work_fraction = np.maximum(fractions.max(axis=0), hold_fraction)
 
         # Requests that arrived mid-tick only start working at their
         # arrival offset; older requests work from the tick start.
         now_ms = self._now_s * 1000.0
-        arrival_fraction = np.maximum(
-            (table.arrival_ms[finished] - now_ms) / tick_ms, 0.0
-        )
-        fraction = np.clip(arrival_fraction + work_fraction, 0.0, 1.0)
+        arrival_ms = table.arrival_ms[finished]
+        arrival_fraction = np.maximum((arrival_ms - now_ms) / tick_ms, 0.0)
+        # Both terms are non-negative: only the tick end can clip.
+        fraction = np.minimum(arrival_fraction + work_fraction, 1.0)
 
         end_ms = now_ms + fraction * tick_ms
-        latencies = np.maximum(end_ms - table.arrival_ms[finished], 1.0)
+        latencies = np.maximum(end_ms - arrival_ms, 1.0)
         self._acc.latencies.extend(latencies.tolist())
         self._acc.completions += int(finished.size)
         table.release(finished)
