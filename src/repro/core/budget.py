@@ -26,6 +26,7 @@ Invariants (property-tested):
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import BudgetError
@@ -159,6 +160,21 @@ class BudgetManager:
     def affordable(self, cost: float) -> bool:
         """Whether a container of ``cost`` fits this interval's budget."""
         return cost <= self._tokens + 1e-9
+
+    def balance_after(
+        self, refunds: Iterable[float], costs: Iterable[float]
+    ) -> float:
+        """``available`` after a :meth:`refund` of each of ``refunds``,
+        then an :meth:`end_interval` of each of ``costs``.
+
+        The same arithmetic, without moving the ledger.
+        """
+        tokens = self._tokens
+        for amount in refunds:
+            tokens += min(tokens + amount, self._depth) - tokens
+        for cost in costs:
+            tokens = min(max(tokens - cost, 0.0) + self._fill_rate, self._depth)
+        return tokens
 
     # -- state transitions --------------------------------------------------------
 

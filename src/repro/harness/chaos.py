@@ -170,7 +170,7 @@ def run_chaos(
     warmup_rate = max(float(trace.rates[0]), trace.mean)
     for _ in range(config.warmup_intervals):
         deliveries = server.run_interval(warmup_rate)
-        decision, _ = _decide(scaler, deliveries)
+        decision, _ = scaler.decide_interval(deliveries)
         executor.execute(decision)
 
     meter = BillingMeter()
@@ -194,7 +194,7 @@ def run_chaos(
                 cost=in_force.cost,
             )
         all_counters.extend(deliveries)
-        decision, per_delivery = _decide(scaler, deliveries)
+        decision, per_delivery = scaler.decide_interval(deliveries)
         decisions.extend(per_delivery)
         interval_decisions.append(decision)
         reports.append(executor.execute(decision))
@@ -211,22 +211,6 @@ def run_chaos(
         scaler=scaler,
         executor=executor,
     )
-
-
-def _decide(
-    scaler: AutoScaler, deliveries: list[IntervalCounters]
-) -> tuple[ScalingDecision, list[ScalingDecision]]:
-    """One interval's decisions: one per delivery, or a gap decision.
-
-    The *actuated* decision is the last one — held/late redeliveries are
-    delivered first, so on a healthy stream this is the fresh interval's
-    decision.
-    """
-    if not deliveries:
-        decision = scaler.decide_missing()
-        return decision, [decision]
-    per_delivery = [scaler.decide(counters) for counters in deliveries]
-    return per_delivery[-1], per_delivery
 
 
 def reconvergence_interval(
